@@ -107,7 +107,10 @@ def extents_from_flat_indices(
     flat: np.ndarray, itemsize: int
 ) -> List[Tuple[int, int]]:
     """Collapse a set of flat element numbers into merged byte extents."""
-    flat = np.unique(np.asarray(flat, dtype=np.int64))
+    # Call-time import: perf sits above arraymodel in the layering.
+    from repro.perf.bitmap import sorted_unique
+
+    flat = sorted_unique(flat)
     if flat.size == 0:
         return []
     breaks = np.flatnonzero(np.diff(flat) != 1)

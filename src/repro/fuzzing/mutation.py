@@ -28,6 +28,10 @@ from repro.fuzzing.parameters import ParameterSpace
 _SCALE_MIN = 0.25
 _SCALE_MAX = 4.0
 
+#: Step signs indexed by ``rng.integers(0, 2)``: the same draws, from the
+#: same stream, as ``rng.choice((-1.0, 1.0))``, without its per-call setup.
+_SIGNS = np.array((-1.0, 1.0))
+
 
 def uniform_mutations(
     v: Sequence[float],
@@ -45,7 +49,7 @@ def uniform_mutations(
     out = []
     lo, hi = dist
     for _ in range(reps):
-        signs = rng.choice((-1.0, 1.0), size=v.shape)
+        signs = _SIGNS[rng.integers(0, 2, size=v.shape)]
         steps = rng.uniform(lo, hi, size=v.shape)
         out.append(space.clip(v + signs * steps))
     return out

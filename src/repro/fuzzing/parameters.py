@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,12 +93,29 @@ class ParameterSpace:
             r.contains(x) for r, x in zip(self.ranges, v)
         )
 
+    @cached_property
+    def _bounds(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-component ``(lo, hi, integer)`` vectors for :meth:`clip`."""
+        return (np.array([r.lo for r in self.ranges], dtype=np.float64),
+                np.array([r.hi for r in self.ranges], dtype=np.float64),
+                np.array([r.integer for r in self.ranges], dtype=bool))
+
     def clip(self, v: Sequence[float]) -> Tuple[float, ...]:
+        """:meth:`ParameterRange.clip` applied to every component at once.
+
+        The comparisons replicate ``min(max(x, lo), hi)`` exactly (down to
+        the sign of a zero on a bound); integer components round half to
+        even like ``round`` and drop a negative zero like its int result.
+        """
         if len(v) != self.ndim:
             raise ProgramError(
                 f"parameter value has {len(v)} components, expected {self.ndim}"
             )
-        return tuple(r.clip(x) for r, x in zip(self.ranges, v))
+        lo, hi, integer = self._bounds
+        x = np.array(v, dtype=np.float64)
+        np.copyto(x, lo, where=x < lo)
+        np.copyto(x, hi, where=x > hi)
+        return tuple(np.where(integer, np.rint(x) + 0.0, x).tolist())
 
     def sample(self, rng: np.random.Generator) -> Tuple[float, ...]:
         """One uniform sample from Theta."""

@@ -34,37 +34,22 @@ def as_points(points, ndim: int = None) -> np.ndarray:
 
 
 def dedupe_points(points: np.ndarray) -> np.ndarray:
-    """Remove exact duplicate rows; rows come back lexicographically sorted.
+    """Remove exact duplicate rows of ``(n, d)`` points; rows come back
+    lexicographically sorted.
 
-    Integer-valued clouds (the hull inputs on the carve path are lattice
-    points) dedupe through per-row flat keys over the cloud's own bounding
-    box — the ascending key order *is* the lexicographic row order, so the
-    result is bit-identical to ``np.unique(points, axis=0)`` without its
-    void-dtype row sort (which dominates 3-D cell hulling).
+    One stable ``np.lexsort`` (first column most significant) plus an
+    adjacent-row mask.  For finite values the result equals
+    ``np.unique(points, axis=0)``, whose structured-dtype row sort is 3-5x
+    slower under numpy >= 2.3 and dominated cell hulling.
     """
     pts = np.asarray(points)
-    if pts.ndim != 2 or pts.shape[0] <= 1:
-        return np.unique(pts, axis=0)
-    ints = np.round(pts).astype(np.int64)
-    if not np.array_equal(ints, pts):
-        return np.unique(pts, axis=0)
-    lo = ints.min(axis=0)
-    local = ints - lo
-    extents = local.max(axis=0) + 1
-    if float(np.prod(extents.astype(np.float64))) > 2**62:
-        return np.unique(pts, axis=0)  # keys would overflow int64
-    d = ints.shape[1]
-    strides = np.empty(d, dtype=np.int64)
-    strides[-1] = 1
-    for k in range(d - 2, -1, -1):
-        strides[k] = strides[k + 1] * extents[k + 1]
-    keys = np.unique(local @ strides)
-    out = np.empty((keys.size, d), dtype=np.int64)
-    rem = keys
-    for k in range(d):
-        out[:, k] = rem // strides[k]
-        rem = rem % strides[k]
-    return (out + lo).astype(pts.dtype)
+    if pts.shape[0] <= 1:
+        return pts.copy()
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.empty(pts.shape[0], dtype=bool)
+    keep[0] = True
+    np.any(pts[1:] != pts[:-1], axis=1, out=keep[1:])
+    return pts[keep]
 
 
 def affine_basis(points: np.ndarray, tol: float = 1e-8

@@ -10,9 +10,9 @@ architecture" section of DESIGN.md.
 from repro.perf.bitmap import (
     FlatBitmap,
     make_accumulator,
+    sorted_unique,
     union_flat,
     unique_flat,
-    unique_lattice_points,
 )
 from repro.perf.config import (
     DEFAULT_BITMAP_MAX_CELLS,
@@ -31,5 +31,5 @@ __all__ = [
     "make_accumulator",
     "unique_flat",
     "union_flat",
-    "unique_lattice_points",
+    "sorted_unique",
 ]

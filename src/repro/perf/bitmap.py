@@ -12,8 +12,8 @@ lexicographic row order of the unflattened points, so outputs are
 bit-identical to the ``np.unique`` path.
 
 For offset spaces too large for a dense bitmap (``> bitmap_max_cells``)
-the helpers fall back to sorted-int64-key unions, which still avoid the
-void-dtype sort.
+the helpers fall back to sorted-int64-key unions (:func:`sorted_unique`),
+which avoid both the void-dtype sort and ``np.unique`` itself.
 """
 
 from __future__ import annotations
@@ -22,8 +22,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.arraymodel.layout import row_major_strides, unflatten_many
+from repro.arraymodel.layout import row_major_strides
 from repro.perf.config import DEFAULT_BITMAP_MAX_CELLS
+
+
+def sorted_unique(values) -> np.ndarray:
+    """Sorted distinct values of an int64 array, flattened to 1-D.
+
+    Equal to ``np.unique(values)``: one ``np.sort`` plus an adjacent-
+    duplicate drop.  Under numpy >= 2.3 ``np.unique`` is 10-40x slower
+    than this on 1-D int64 input, so hot paths route through here.
+    """
+    arr = np.sort(np.asarray(values, dtype=np.int64).reshape(-1))
+    if arr.size > 1:
+        keep = np.empty(arr.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+        arr = arr[keep]
+    return arr
 
 
 def unique_flat(
@@ -39,7 +55,7 @@ def unique_flat(
         bitmap = np.zeros(n_flat, dtype=bool)
         bitmap[flat] = True
         return np.flatnonzero(bitmap).astype(np.int64)
-    return np.unique(flat)
+    return sorted_unique(flat)
 
 
 def union_flat(
@@ -55,38 +71,6 @@ def union_flat(
     if len(parts) == 1:
         return unique_flat(parts[0], n_flat, max_cells)
     return unique_flat(np.concatenate(parts), n_flat, max_cells)
-
-
-def unique_lattice_points(
-    points: np.ndarray,
-    dims: Sequence[int],
-    max_cells: int = DEFAULT_BITMAP_MAX_CELLS,
-) -> np.ndarray:
-    """Lexicographically-sorted unique rows of in-bounds integer points.
-
-    Drop-in replacement for ``np.unique(points, axis=0)`` when every row
-    lies in ``[0, dims)``; the caller is responsible for bounds (both the
-    workload access paths and the rasterizer clip first).
-
-    Args:
-        points: ``(n, d)`` integer points inside ``[0, dims)``.
-        dims: array extents defining the flat offset space.
-        max_cells: dense-bitmap cutoff; larger spaces sort int64 keys.
-
-    Returns:
-        ``(m, d)`` int64 array of unique rows in lexicographic order —
-        bit-identical to the ``np.unique(..., axis=0)`` output.
-    """
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.ndim != 2 or pts.shape[1] != len(dims):
-        raise ValueError(
-            f"expected (n, {len(dims)}) points, got shape {pts.shape}"
-        )
-    if pts.shape[0] == 0:
-        return pts.copy()
-    strides = np.asarray(row_major_strides(dims), dtype=np.int64)
-    flat = unique_flat(pts @ strides, int(np.prod(dims)), max_cells)
-    return unflatten_many(flat, dims)
 
 
 def ragged_aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -239,4 +223,4 @@ class _KeyAccumulator(FlatAccumulator):
     def to_sorted(self) -> np.ndarray:
         if not self._parts:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(self._parts))
+        return sorted_unique(np.concatenate(self._parts))

@@ -758,17 +758,23 @@ def _drill_worker_killed_mid_job(program, dims, seed: int,
         client = ServiceClient(service.socket_path, timeout_s=5.0)
         job_id = client.submit(spec)["job"]
         # Find the supervised child executing attempt 1 (the daemon pins
-        # its pid onto the lease via the supervisor's on_spawn hook).
+        # its pid onto the lease via the supervisor's on_spawn hook), and
+        # wait until that child has claimed the marker: a kill landing
+        # before the claim would leave the marker to attempt 2, which
+        # would park instead of running the real campaign.
         child_pid = None
         deadline = time.monotonic() + 15.0
         while time.monotonic() < deadline:
             child_pid = client.status(job_id).get("child_pid")
-            if child_pid:
+            if child_pid and os.path.exists(marker):
                 break
             time.sleep(0.05)
         if not child_pid:
             return ChaosCheck(name, False,
                               "attempt 1 never exposed a child pid")
+        if not os.path.exists(marker):
+            return ChaosCheck(name, False,
+                              "attempt 1 never claimed the marker")
         os.kill(child_pid, signal.SIGKILL)
         final = client.wait_for(job_id, timeout_s=120.0)
         completes = service.store.complete_count(job_id)

@@ -15,8 +15,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.arraymodel.layout import flatten_many, unflatten_many
 from repro.errors import ProgramError
-from repro.perf.bitmap import unique_lattice_points
+from repro.perf.bitmap import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,10 @@ class Stencil:
         )
         dims_arr = np.asarray(dims, dtype=np.int64)
         keep = ((cells >= 0) & (cells < dims_arr)).all(axis=1)
-        # Hot path of every debloat test: flat-key dedup instead of the
-        # void-dtype lexicographic sort of ``np.unique(..., axis=0)``
-        # (bit-identical output, ~10x cheaper on dense 3-D shapes).
-        return unique_lattice_points(cells[keep], dims)
+        # Dedupe on flat keys: ascending flat order is the lexicographic
+        # row order, without the void-dtype sort of ``np.unique(axis=0)``.
+        return unflatten_many(sorted_unique(flatten_many(cells[keep], dims)),
+                              dims)
 
 
 def solid_block(ndim: int, extent: int = 2) -> Stencil:

@@ -9,26 +9,10 @@ from repro.perf.bitmap import (
     box_flat_indices,
     make_accumulator,
     ragged_aranges,
+    sorted_unique,
     union_flat,
     unique_flat,
-    unique_lattice_points,
 )
-
-
-@st.composite
-def lattice_cloud(draw):
-    d = draw(st.integers(min_value=1, max_value=3))
-    dims = tuple(draw(st.integers(min_value=1, max_value=12))
-                 for _ in range(d))
-    n = draw(st.integers(min_value=0, max_value=60))
-    rows = [
-        tuple(
-            draw(st.integers(min_value=0, max_value=dims[k] - 1))
-            for k in range(d)
-        )
-        for _ in range(n)
-    ]
-    return dims, np.asarray(rows, dtype=np.int64).reshape(n, d)
 
 
 class TestUniqueFlat:
@@ -62,24 +46,27 @@ class TestUnionFlat:
         assert union_flat([], 10).size == 0
 
 
-class TestUniqueLatticePoints:
-    @given(cloud=lattice_cloud(), max_cells=st.sampled_from([1, 1 << 20]))
+class TestSortedUnique:
+    @given(values=st.lists(st.integers(min_value=-(2**62), max_value=2**62),
+                           max_size=200),
+           dupes=st.integers(min_value=0, max_value=3))
     @settings(max_examples=80, deadline=None)
-    def test_bit_identical_to_np_unique_axis0(self, cloud, max_cells):
-        dims, pts = cloud
-        got = unique_lattice_points(pts, dims, max_cells=max_cells)
-        if pts.shape[0] == 0:
-            assert got.shape == pts.shape
-            return
-        expect = np.unique(pts, axis=0)
-        assert got.dtype == expect.dtype
-        assert np.array_equal(got, expect)
+    def test_matches_np_unique(self, values, dupes):
+        arr = np.asarray(values * (dupes + 1), dtype=np.int64)
+        got = sorted_unique(arr)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(arr))
 
-    def test_rejects_shape_mismatch(self):
-        import pytest
+    def test_flattens_and_copies(self):
+        arr = np.array([[3, 1], [3, 2]], dtype=np.int64)
+        got = sorted_unique(arr)
+        assert np.array_equal(got, [1, 2, 3])
+        got[0] = 99
+        assert arr.min() == 1
 
-        with pytest.raises(ValueError):
-            unique_lattice_points(np.zeros((3, 2), dtype=np.int64), (4, 4, 4))
+    def test_empty_and_singleton(self):
+        assert sorted_unique(np.empty(0, dtype=np.int64)).shape == (0,)
+        assert np.array_equal(sorted_unique([5]), [5])
 
 
 class TestAccumulators:
