@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.arraymodel.layout import flatten_many, unflatten_many
+from repro.arraymodel.layout import flatten_many
 from repro.carving.carver import Carver
 from repro.carving.merge import merge_hulls_grid, merge_hulls_scan
 from repro.core.pipeline import Kondo
@@ -104,9 +104,8 @@ def _merge_and_raster(program_name, dims, scale_label):
     """Merge + raster wall-clock on one fuzz campaign's point cloud."""
     kondo = Kondo(get_program(program_name), dims, perf=SERIAL_PERF_CONFIG)
     fuzz = _campaign(program_name, dims, kondo.fuzz_config)
-    points = unflatten_many(fuzz.flat_indices, dims).astype(np.float64)
     carver = Carver(dims, kondo.carve_config)
-    cell_hulls = carver.build_cell_hulls(points)
+    cell_hulls = carver.build_cell_hulls(fuzz.flat_indices)
 
     config = kondo.carve_config
     (scan_hulls, scan_stats), scan_s = _timed(

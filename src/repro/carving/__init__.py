@@ -5,7 +5,6 @@ Section V-C.
 """
 
 from repro.carving.carver import Carver, CarveResult
-from repro.carving.cells import split_into_cells
 from repro.carving.merge import MergeStats, close, merge_hulls
 from repro.carving.simple_convex import SimpleConvexCarver
 
@@ -13,7 +12,6 @@ __all__ = [
     "Carver",
     "CarveResult",
     "SimpleConvexCarver",
-    "split_into_cells",
     "merge_hulls",
     "close",
     "MergeStats",

@@ -16,14 +16,50 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.arraymodel.layout import flatten_many, unflatten_many
-from repro.carving.cells import split_into_cells
+from repro.carving.cells import cell_boundary_rows
 from repro.carving.merge import MergeStats, merge_hulls
 from repro.errors import GeometryError
 from repro.fuzzing.config import CarveConfig
 from repro.geometry.hull import Hull
-from repro.geometry.lattice import lattice_boundary_points
 from repro.geometry.raster import flat_indices_in_hulls, integer_points_in_hulls
-from repro.perf.bitmap import union_flat
+from repro.perf.bitmap import sorted_unique, union_flat
+
+
+def as_sorted_unique(flat_indices) -> np.ndarray:
+    """``flat_indices`` as a sorted unique int64 vector.
+
+    The fuzz campaign's output already is one; only other inputs pay for
+    the sort.
+    """
+    flat = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
+    if flat.size > 1 and not (flat[1:] > flat[:-1]).all():
+        flat = sorted_unique(flat)
+    return flat
+
+
+def points_to_flat(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Sorted unique flat offsets of ``(n, d)`` index points, rounded and
+    clipped into ``dims`` (the carvers' point-cloud entry)."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != len(dims):
+        raise GeometryError(
+            f"expected (n, {len(dims)}) points, got {points.shape}"
+        )
+    return sorted_unique(observed_flat_indices(points, dims))
+
+
+def cell_hulls(flat: np.ndarray, dims: Sequence[int], cell_size: float,
+               max_cells: int) -> List[Hull]:
+    """One hull per cell of sorted unique offsets, after the lattice strip
+    (:func:`~repro.carving.cells.cell_boundary_rows`)."""
+    coords = unflatten_many(flat, dims)
+    rows, bounds = cell_boundary_rows(flat, coords, dims, cell_size,
+                                      max_cells)
+    points = coords[rows].astype(np.float64)
+    return [
+        Hull._from_unique_rows(points[a:b])
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
 
 def observed_flat_indices(points: np.ndarray,
@@ -79,37 +115,38 @@ class Carver:
         self.dims = tuple(int(d) for d in dims)
         self.config = config if config is not None else CarveConfig()
 
-    def build_cell_hulls(self, points: np.ndarray) -> List[Hull]:
-        """SPLIT the points into cells and hull each cell (Alg 2, l. 3-5).
+    def build_cell_hulls(self, flat: np.ndarray) -> List[Hull]:
+        """SPLIT sorted unique offsets into cells and hull each cell
+        (Alg 2, l. 3-5).
 
         Lattice-interior points of each cell are stripped first — they can
         never be hull vertices, and dense 3-D cells shrink by an order of
         magnitude.
         """
-        cells = split_into_cells(points, self.config.cell_size)
-        return [
-            Hull.from_points(lattice_boundary_points(cell_points))
-            for cell_points in cells.values()
-        ]
+        return cell_hulls(flat, self.dims, self.config.cell_size,
+                          self.config.perf.bitmap_max_cells)
 
     def carve_points(self, points: np.ndarray) -> CarveResult:
-        """Carve from an ``(n, d)`` array of index points."""
+        """Carve from an ``(n, d)`` array of index points.
+
+        The points are rounded and clipped into the window first
+        (:func:`observed_flat_indices`).
+        """
+        return self.carve_flat(points_to_flat(points, self.dims))
+
+    def carve_flat(self, flat_indices: np.ndarray) -> CarveResult:
+        """Carve from flat offsets (the fuzz campaign's native output)."""
         start = time.perf_counter()
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != len(self.dims):
-            raise GeometryError(
-                f"expected (n, {len(self.dims)}) points, got {points.shape}"
-            )
-        if points.shape[0] == 0:
+        flat = as_sorted_unique(flat_indices)
+        if flat.size == 0:
             return CarveResult(
                 hulls=[],
                 flat_indices=np.empty(0, dtype=np.int64),
                 merge_stats=MergeStats(0, 0, 0, 0),
                 elapsed_seconds=time.perf_counter() - start,
             )
-        initial = self.build_cell_hulls(points)
+        initial = self.build_cell_hulls(flat)
         merged, stats = merge_hulls(initial, self.config)
-        observed_flat = observed_flat_indices(points, self.dims)
         perf = self.config.perf
         if perf.bitmap_raster:
             # Fast path: stay in flat-offset space end to end — hull
@@ -119,7 +156,7 @@ class Carver:
                 merged, self.dims, tol=self.config.raster_tol, perf=perf
             )
             flat = union_flat(
-                [carved_flat, observed_flat],
+                [carved_flat, flat],
                 int(np.prod(self.dims)),
                 perf.bitmap_max_cells,
             )
@@ -132,19 +169,10 @@ class Carver:
                 if raster.size
                 else np.empty(0, dtype=np.int64)
             )
-            flat = np.union1d(carved_flat, observed_flat)
+            flat = np.union1d(carved_flat, flat)
         return CarveResult(
             hulls=merged,
             flat_indices=flat.astype(np.int64),
             merge_stats=stats,
             elapsed_seconds=time.perf_counter() - start,
-        )
-
-    def carve_flat(self, flat_indices: np.ndarray) -> CarveResult:
-        """Carve from flat offsets (the fuzz campaign's native output)."""
-        flat = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
-        if flat.size == 0:
-            return self.carve_points(np.empty((0, len(self.dims))))
-        return self.carve_points(
-            unflatten_many(flat, self.dims).astype(np.float64)
         )

@@ -14,13 +14,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.arraymodel.layout import flatten_many, unflatten_many
-from repro.carving.carver import CarveResult, observed_flat_indices
+from repro.arraymodel.layout import flatten_many
+from repro.carving.carver import (
+    CarveResult,
+    as_sorted_unique,
+    cell_hulls,
+    points_to_flat,
+)
 from repro.carving.merge import MergeStats
-from repro.errors import GeometryError
 from repro.fuzzing.config import CarveConfig
-from repro.geometry.hull import Hull
-from repro.geometry.lattice import lattice_boundary_points
 from repro.geometry.raster import integer_points_in_hull
 
 
@@ -32,19 +34,20 @@ class SimpleConvexCarver:
         self.config = config if config is not None else CarveConfig()
 
     def carve_points(self, points: np.ndarray) -> CarveResult:
+        return self.carve_flat(points_to_flat(points, self.dims))
+
+    def carve_flat(self, flat_indices: np.ndarray) -> CarveResult:
         start = time.perf_counter()
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != len(self.dims):
-            raise GeometryError(
-                f"expected (n, {len(self.dims)}) points, got {points.shape}"
-            )
-        if points.shape[0] == 0:
+        flat = as_sorted_unique(flat_indices)
+        if flat.size == 0:
             return CarveResult(
                 hulls=[], flat_indices=np.empty(0, dtype=np.int64),
                 merge_stats=MergeStats(0, 0, 0, 0),
                 elapsed_seconds=time.perf_counter() - start,
             )
-        hull = Hull.from_points(lattice_boundary_points(points))
+        # A cell as large as the longest axis holds the whole window.
+        [hull] = cell_hulls(flat, self.dims, float(max(self.dims)),
+                            self.config.perf.bitmap_max_cells)
         raster = integer_points_in_hull(
             hull, dims=self.dims, tol=self.config.raster_tol
         )
@@ -53,19 +56,9 @@ class SimpleConvexCarver:
             if raster.size
             else np.empty(0, dtype=np.int64)
         )
-        observed_flat = observed_flat_indices(points, self.dims)
-        flat = np.union1d(carved_flat, observed_flat)
         return CarveResult(
             hulls=[hull],
-            flat_indices=flat.astype(np.int64),
+            flat_indices=np.union1d(carved_flat, flat).astype(np.int64),
             merge_stats=MergeStats(1, 1, 0, 0),
             elapsed_seconds=time.perf_counter() - start,
-        )
-
-    def carve_flat(self, flat_indices: np.ndarray) -> CarveResult:
-        flat = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
-        if flat.size == 0:
-            return self.carve_points(np.empty((0, len(self.dims))))
-        return self.carve_points(
-            unflatten_many(flat, self.dims).astype(np.float64)
         )

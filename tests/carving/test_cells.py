@@ -1,12 +1,12 @@
-"""Unit tests for the SPLIT step of Algorithm 2."""
+"""Unit tests for the point-cloud SPLIT oracle of Algorithm 2."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.carving import split_into_cells
 from repro.errors import GeometryError
+from tests.oracles import split_into_cells
 
 
 class TestSplit:

@@ -1,4 +1,4 @@
-"""Unit + property tests for the from-scratch incremental 3-D hull.
+"""Unit + property tests for the from-scratch incremental 3-D hull oracle.
 
 Cross-checked against scipy's Qhull on random point clouds.
 """
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull as QhullHull
 
 from repro.errors import GeometryError
-from repro.geometry.hull3d import (
+from tests.oracles import (
     hull3d_halfspaces,
     hull3d_vertices,
     hull3d_volume,

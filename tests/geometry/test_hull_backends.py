@@ -1,20 +1,18 @@
-"""Cross-check the two 3-D hull backends behind the Hull facade."""
+"""Cross-check Qhull against the from-scratch 3-D hull behind the Hull facade."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.geometry.hull as hull_mod
 from repro.geometry import Hull
+from tests.oracles import own_hull3d
 
 
 @pytest.fixture
 def own_backend():
-    saved = hull_mod.HULL3D_BACKEND
-    hull_mod.HULL3D_BACKEND = "own"
-    yield
-    hull_mod.HULL3D_BACKEND = saved
+    with own_hull3d():
+        yield
 
 
 points_3d = st.lists(
@@ -42,14 +40,9 @@ class TestBackendEquivalence:
              for y in range(0, 13, 3) for z in range(0, 13, 3)],
             dtype=float,
         )
-        saved = hull_mod.HULL3D_BACKEND
-        try:
-            hull_mod.HULL3D_BACKEND = "qhull"
-            qhull = Hull.from_points(pts).contains(probe, tol=1e-6)
-            hull_mod.HULL3D_BACKEND = "own"
+        qhull = Hull.from_points(pts).contains(probe, tol=1e-6)
+        with own_hull3d():
             own = Hull.from_points(pts).contains(probe, tol=1e-6)
-        finally:
-            hull_mod.HULL3D_BACKEND = saved
         assert np.array_equal(qhull, own)
 
     @given(points_3d)
@@ -60,12 +53,7 @@ class TestBackendEquivalence:
         centered = pts - pts.mean(axis=0)
         if np.linalg.matrix_rank(centered, tol=1e-8) < 3:
             return
-        saved = hull_mod.HULL3D_BACKEND
-        try:
-            hull_mod.HULL3D_BACKEND = "qhull"
-            v1 = Hull.from_points(pts).volume
-            hull_mod.HULL3D_BACKEND = "own"
+        v1 = Hull.from_points(pts).volume
+        with own_hull3d():
             v2 = Hull.from_points(pts).volume
-        finally:
-            hull_mod.HULL3D_BACKEND = saved
         assert v1 == pytest.approx(v2, rel=1e-6, abs=1e-9)

@@ -1,11 +1,11 @@
-"""Unit + property tests for lattice interior-point stripping."""
+"""Unit + property tests for the point-cloud lattice-strip oracle."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Hull
-from repro.geometry.lattice import lattice_boundary_points
+from tests.oracles import lattice_boundary_points
 
 
 class TestLatticeBoundary:
